@@ -62,9 +62,9 @@ pub struct Config {
     /// threads"). Each shard owns the clients whose `client_id % shards`
     /// equals its index plus a partition of the enclave hash table keyed by
     /// a stable hash of the key; requests that hash to a foreign shard
-    /// cross a handoff queue. `1` (the default) is the single sequential
-    /// polling loop — the pre-sharding code path, kept bit-identical so
-    /// deterministic sim runs and seeded suites reproduce.
+    /// cross a handoff queue. Every shard count runs the same three-phase
+    /// sweep; `1` (the default) is its one-worker case, with no handoffs.
+    /// Seeded runs replay bit-identically per `(shards, seed)` pair.
     pub shards: usize,
     /// Values of at most this many bytes are stored directly *inside* the
     /// enclave instead of the untrusted pool — the paper's proposed future
@@ -102,10 +102,6 @@ pub struct Config {
     /// DESIGN.md §15). `0` disables elision (a credit WRITE per consuming
     /// sweep, the pre-fast-path behaviour).
     pub lazy_credit_bytes: usize,
-    /// Reuse a per-server arena for reply-frame encoding so the steady
-    /// state allocates nothing per op. Purely an allocation-path knob: the
-    /// emitted bytes are identical. Off by default.
-    pub reply_arena: bool,
     /// Drive poll sweeps from the dirty-ring set instead of scanning every
     /// connected ring: request rings are registered with a write-watch, a
     /// delivered client WRITE marks the ring dirty, and a sweep visits only
@@ -113,8 +109,11 @@ pub struct Config {
     /// lazy-credit flush rule keeps its one-sweep liveness bound). A ring
     /// left non-empty by the fairness budget re-marks itself. Idle rings
     /// cost nothing, making a sweep O(dirty) instead of O(clients) — the
-    /// 100k-client scale mode (DESIGN.md §17). Off by default so the
-    /// shards=1 golden digest reproduces through the scan path untouched.
+    /// 100k-client scale mode (DESIGN.md §17). The dirty set only filters
+    /// the full scan's visit order, so with the default knobs (no adaptive
+    /// budget, no credit elision — an idle visit changes nothing) a sweep
+    /// serves the busy rings exactly as the full scan does, at every shard
+    /// count; only the ring-visit count differs.
     pub dirty_ring_sweep: bool,
 }
 
@@ -140,7 +139,6 @@ impl Default for Config {
             poll_budget_min: 16,
             poll_budget_max: 128,
             lazy_credit_bytes: 0,
-            reply_arena: false,
             dirty_ring_sweep: false,
         }
     }
@@ -175,14 +173,13 @@ impl Config {
     }
 
     /// Turns on every fast-path knob (adaptive sweeps, batched sealing,
-    /// credit elision, reply arena) on top of `self`. The observable
-    /// protocol — reply bytes, MAC chains, at-most-once window — is
-    /// unchanged; see DESIGN.md §15 for the invariants.
+    /// credit elision) on top of `self`. The observable protocol — reply
+    /// bytes, MAC chains, at-most-once window — is unchanged; see
+    /// DESIGN.md §15 for the invariants.
     pub fn with_fast_path(mut self) -> Config {
         self.batched_sealing = true;
         self.adaptive_poll_budget = true;
         self.lazy_credit_bytes = 4096;
-        self.reply_arena = true;
         self
     }
 
@@ -277,7 +274,6 @@ mod tests {
         assert!(!c.batched_sealing);
         assert!(!c.adaptive_poll_budget);
         assert_eq!(c.lazy_credit_bytes, 0);
-        assert!(!c.reply_arena);
         assert!(!c.fast_path_enabled());
     }
 
@@ -285,7 +281,7 @@ mod tests {
     fn fast_enables_every_knob_within_budget_bounds() {
         let c = Config::fast();
         assert!(c.fast_path_enabled());
-        assert!(c.batched_sealing && c.adaptive_poll_budget && c.reply_arena);
+        assert!(c.batched_sealing && c.adaptive_poll_budget);
         assert!(c.lazy_credit_bytes > 0);
         assert!(c.poll_budget_min >= 1);
         assert!(c.poll_budget_min <= c.poll_budget_max);

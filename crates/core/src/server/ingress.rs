@@ -4,8 +4,9 @@
 //! consumers, reply-ring producers, credit words), the bounded
 //! [`OpReport`] buffer, and the sweep counters. The stage's job is the
 //! host-side I/O: provisioning rings on admission, posting reply WRITEs
-//! (per-record or coalesced into per-sweep [`ReplyBatch`]es), re-issuing
-//! remembered replies on retransmission, and the credit write-backs.
+//! (coalesced into per-sweep [`ReplyBatch`]es, or per record while an
+//! adversary is installed), re-issuing remembered replies on
+//! retransmission, and the credit write-backs.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -50,8 +51,25 @@ pub(super) struct ClientPort {
     pub(super) last_credit: u64,
 }
 
-// Per-client reply WRITEs coalesced over one sharded sweep: contiguous
-// ring chunks merge into one one-sided WRITE, posted at flush.
+impl ClientPort {
+    // The client's reply-consumption counter, as it last wrote it into
+    // the reply-credit word.
+    pub(super) fn reply_consumed(&self) -> u64 {
+        self.reply_credit
+            .with(|b| u64::from_le_bytes(b[..8].try_into().expect("8 bytes")))
+    }
+
+    // Pops the next request record, first refreshing the reply
+    // producer's credits from the client-written word.
+    pub(super) fn pop_request(&mut self) -> Option<Vec<u8>> {
+        self.reply_producer.update_credits(self.reply_consumed());
+        self.request_ring
+            .with_mut(|buf| self.request_consumer.pop(buf))
+    }
+}
+
+// Per-client reply WRITEs coalesced over one sweep: contiguous ring
+// chunks merge into one one-sided WRITE, posted at flush.
 #[derive(Default)]
 pub(super) struct ReplyBatch {
     pub(super) writes: Vec<(usize, Vec<u8>)>,
@@ -67,11 +85,10 @@ pub(super) struct Ingress {
     pub(super) ports: Vec<Option<ClientPort>>,
     pub(super) reports: VecDeque<OpReport>,
     pub(super) reports_dropped: u64,
-    // Round-robin start of the next poll sweep (single-shard mode).
-    pub(super) rr_cursor: usize,
-    // Per-worker round-robin cursors over each worker's owned clients
-    // (sharded mode).
-    pub(super) rr_cursors: Vec<usize>,
+    // Per-worker round-robin cursors: worker `w`'s next start position
+    // among the client indices it owns (`w + p·shards`), advanced once
+    // per poll.
+    pub(super) visit_cursors: Vec<usize>,
     pub(super) polls: u64,
     // Credit write-backs actually posted (sweeps that consumed nothing
     // skip the redundant WRITE).
@@ -86,9 +103,9 @@ pub(super) struct Ingress {
     pub(super) budget_adjustments: u64,
     // Credit WRITEs deferred below the `lazy_credit_bytes` threshold.
     pub(super) credits_elided: u64,
-    // Spare reply-frame buffers (fast path; `Config::reply_arena`):
-    // buffers that carried a non-remembered reply come back here instead
-    // of being dropped, so the steady state encodes into reused capacity.
+    // Spare reply-frame buffers: buffers that carried a non-remembered
+    // reply come back here instead of being dropped, so the steady state
+    // encodes into reused capacity.
     pub(super) arena: Vec<Vec<u8>>,
     // Doorbell board for dirty-ring sweeps (`Config::dirty_ring_sweep`):
     // request rings are registered with a write-watch that marks the
@@ -277,12 +294,9 @@ impl PrecursorServer {
         }
     }
 
-    // Encodes a reply frame, reusing a pooled buffer when the arena knob
-    // is on. The produced bytes are identical either way.
+    // Encodes a reply frame into a pooled buffer when one is spare. The
+    // produced bytes are those of `ReplyFrame::encode`.
     pub(super) fn encode_reply(&mut self, reply: &ReplyFrame) -> Vec<u8> {
-        if !self.config.reply_arena {
-            return reply.encode();
-        }
         let mut buf = match self.ingress.arena.pop() {
             Some(mut b) => {
                 b.clear();
@@ -298,10 +312,7 @@ impl PrecursorServer {
     // Returns a reply-frame buffer to the arena once nothing references
     // its bytes any more.
     pub(super) fn recycle_reply_buf(&mut self, buf: Vec<u8>) {
-        if self.config.reply_arena
-            && buf.capacity() > 0
-            && self.ingress.arena.len() < ARENA_MAX_BUFS
-        {
+        if buf.capacity() > 0 && self.ingress.arena.len() < ARENA_MAX_BUFS {
             self.ingress.arena.push(buf);
         }
     }
@@ -311,74 +322,16 @@ impl PrecursorServer {
         self.ingress.reports.drain(..).collect()
     }
 
-    // Posts a freshly sealed reply's ring WRITEs immediately (the
-    // single-shard path's per-record posting).
+    // Pushes a freshly sealed reply into client `idx`'s reply ring.
+    // Ring-contiguous chunks from one sweep are coalesced into the
+    // per-client [`ReplyBatch`] and posted together at the end of the
+    // client's run — the per-sweep reply batching of §3.8. With an
+    // adversary installed each record is posted on its own, through the
+    // adversary (batching would shrink its attack surface and change what
+    // the harness exercises). The meter pays one post per WRITE issued:
+    // per coalesced WRITE the record opens in the batch, or per honest
+    // WRITE of the record with an adversary installed.
     pub(super) fn emit_fresh(
-        &mut self,
-        idx: usize,
-        reply: ReplyFrame,
-        remember: bool,
-        meter: &mut Meter,
-    ) {
-        let cost = self.cost.clone();
-        let bytes = self.encode_reply(&reply);
-        let bytes_len = bytes.len();
-        // Push into the producer first, collecting the ring WRITEs
-        // the honest host would post ...
-        let (writes, end, pushed) = {
-            let port = self.ingress.ports[idx].as_mut().expect("live port");
-            let mut writes = Vec::with_capacity(2);
-            let pushed = port.reply_producer.push_with(&bytes, |off, chunk| {
-                writes.push((off, chunk.to_vec()));
-            });
-            (writes, port.reply_producer.written(), pushed.is_some())
-        };
-        // ... then let the adversary (when installed) substitute,
-        // hold, or duplicate them before they hit the wire.
-        let posted = match &mut self.adversary {
-            Some(adv) => adv.on_reply_record(idx as u32, writes.clone()),
-            None => writes.clone(),
-        };
-        // The WRITEs go through the group-commit gate: with no journal (or
-        // an up-to-date commit point) they post immediately, otherwise they
-        // are held until the operation's journal group commits.
-        self.post_or_gate(idx, posted);
-        let port = self.ingress.ports[idx].as_mut().expect("live port");
-        let spare = if remember {
-            // Remember the *honest* record for retransmissions —
-            // retransmits bypass the adversary by design, so a
-            // wronged client can always recover the real reply.
-            port.last_reply = writes;
-            port.last_reply_end = end;
-            std::mem::replace(&mut port.last_reply_bytes, bytes)
-        } else {
-            bytes
-        };
-        self.recycle_reply_buf(spare);
-        // Metering stays that of the honest single post, so cost
-        // accounting is identical with and without an adversary.
-        meter.counters_mut().rdma_posts += 1;
-        meter.counters_mut().tx_bytes += bytes_len as u64;
-        meter.charge(
-            Stage::ServerCritical,
-            cost.server_time(Cycles(cost.rdma_post_cycles)),
-        );
-        if !pushed {
-            // Reply ring full: in the real system the worker would
-            // retry after the next credit update; the simulation's
-            // rings are sized to make this unreachable under the
-            // drivers.
-            debug_assert!(false, "reply ring full");
-        }
-    }
-
-    // Sharded-path variant of [`emit_fresh`]: instead of posting each
-    // record's WRITEs immediately, ring-contiguous chunks from one sweep
-    // are coalesced into the per-client [`ReplyBatch`] and posted together
-    // at the end of the sweep — the per-sweep reply batching of §3.8. With
-    // an adversary installed the per-record path is kept (batching would
-    // shrink its attack surface and change what the harness exercises).
-    pub(super) fn emit_fresh_batched(
         &mut self,
         idx: usize,
         reply: ReplyFrame,
@@ -386,11 +339,6 @@ impl PrecursorServer {
         batch: &mut ReplyBatch,
         meter: &mut Meter,
     ) {
-        if self.adversary.is_some() {
-            self.emit_fresh(idx, reply, remember, meter);
-            return;
-        }
-        let cost = self.cost.clone();
         let bytes = self.encode_reply(&reply);
         let bytes_len = bytes.len();
         let (writes, end, pushed) = {
@@ -401,28 +349,43 @@ impl PrecursorServer {
             });
             (writes, port.reply_producer.written(), pushed.is_some())
         };
-        for (off, chunk) in &writes {
-            let mergeable = matches!(
-                batch.writes.last(),
-                Some((last_off, last_bytes)) if last_off + last_bytes.len() == *off
-            );
-            if mergeable {
-                let (_, last_bytes) = batch.writes.last_mut().expect("non-empty batch");
-                last_bytes.extend_from_slice(chunk);
-            } else {
-                batch.writes.push((*off, chunk.clone()));
-                // Only a chunk that opens a new coalesced WRITE pays the
-                // post; merged chunks ride along for free.
-                meter.counters_mut().rdma_posts += 1;
-                meter.charge(
-                    Stage::ServerCritical,
-                    cost.server_time(Cycles(cost.rdma_post_cycles)),
-                );
+        let posts = match &mut self.adversary {
+            Some(adv) => {
+                // The adversary may substitute, hold, or duplicate the
+                // record's WRITEs before they hit the wire; the WRITEs go
+                // through the group-commit gate like every reply WRITE.
+                let posted = adv.on_reply_record(idx as u32, writes.clone());
+                self.post_or_gate(idx, posted);
+                writes.len()
             }
+            None => {
+                let mut opened = 0;
+                for (off, chunk) in &writes {
+                    match batch.writes.last_mut() {
+                        // Merged chunks ride along in the open WRITE.
+                        Some((last_off, last_bytes)) if *last_off + last_bytes.len() == *off => {
+                            last_bytes.extend_from_slice(chunk);
+                        }
+                        _ => {
+                            batch.writes.push((*off, chunk.clone()));
+                            opened += 1;
+                        }
+                    }
+                }
+                opened
+            }
+        };
+        let post = self.cost.server_time(Cycles(self.cost.rdma_post_cycles));
+        for _ in 0..posts {
+            meter.counters_mut().rdma_posts += 1;
+            meter.charge(Stage::ServerCritical, post);
         }
         meter.counters_mut().tx_bytes += bytes_len as u64;
         let port = self.ingress.ports[idx].as_mut().expect("live port");
         let spare = if remember {
+            // Remember the *honest* record for retransmissions —
+            // retransmits bypass the adversary by design, so a wronged
+            // client can always recover the real reply.
             port.last_reply = writes;
             port.last_reply_end = end;
             std::mem::replace(&mut port.last_reply_bytes, bytes)
@@ -431,6 +394,9 @@ impl PrecursorServer {
         };
         self.recycle_reply_buf(spare);
         if !pushed {
+            // Reply ring full: in the real system the worker would retry
+            // after the next credit update; the simulation's rings are
+            // sized to make this unreachable under the drivers.
             debug_assert!(false, "reply ring full");
         }
     }
@@ -441,7 +407,7 @@ impl PrecursorServer {
         if batch.writes.is_empty() {
             return;
         }
-        let writes: Vec<_> = batch.writes.drain(..).collect();
+        let writes = std::mem::take(&mut batch.writes);
         self.post_or_gate(idx, writes);
     }
 
@@ -450,8 +416,7 @@ impl PrecursorServer {
         let cost = self.cost.clone();
         let writes = {
             let port = self.ingress.ports[idx].as_mut().expect("live port");
-            let consumed =
-                u64::from_le_bytes(port.reply_credit.read(0, 8).try_into().expect("8 bytes"));
+            let consumed = port.reply_consumed();
             if consumed >= port.last_reply_end && !port.last_reply_bytes.is_empty() {
                 // The client already consumed past the remembered
                 // record (it saw an adversary-substituted record there

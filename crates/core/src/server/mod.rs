@@ -22,9 +22,8 @@
 //!   (owns `SessionStage`);
 //! * `ingress` — ring polling plumbing, credit and batched reply
 //!   WRITEs (owns `Ingress`);
-//! * `pipeline` — the sweep drivers gluing the stages together
-//!   (single-shard and sharded three-phase sweeps, shard routing +
-//!   handoff);
+//! * `pipeline` — the sweep driver gluing the stages together (one
+//!   three-phase sweep for every shard count, shard routing + handoff);
 //! * `exec` — per-opcode enclave execution against the Robin Hood
 //!   shards (owns `StoreExec`);
 //! * `seal` — reply_seq / MAC-chain / last_status sealing in
@@ -143,6 +142,8 @@ pub struct PrecursorServer {
     sessions: SessionStage,
     store: StoreExec,
     ingress: Ingress,
+    // the pipeline's per-sweep buffers, reused across polls
+    sweep_scratch: pipeline::SweepScratch,
 
     // durability stage (sealed journal + group-commit reply gate); None
     // until a journal is attached
@@ -233,8 +234,7 @@ impl PrecursorServer {
                 ports: Vec::new(),
                 reports: std::collections::VecDeque::new(),
                 reports_dropped: 0,
-                rr_cursor: 0,
-                rr_cursors: vec![0; shards],
+                visit_cursors: vec![0; shards],
                 polls: 0,
                 credit_writes: 0,
                 handoffs: 0,
@@ -246,6 +246,7 @@ impl PrecursorServer {
                 credit_pending: std::collections::BTreeSet::new(),
                 rings_swept: 0,
             },
+            sweep_scratch: pipeline::SweepScratch::default(),
             durability: None,
             catchup: None,
             routing: None,

@@ -1,14 +1,14 @@
-//! Pipeline stage: the sweep drivers gluing the stages together.
+//! Pipeline stage: the sweep driver gluing the stages together.
 //!
-//! [`PrecursorServer::poll`] dispatches to the single-shard sweep (the
-//! pre-sharding code path, kept operation-for-operation identical so
-//! seeded runs reproduce) or the sharded three-phase sweep (§3.8:
-//! validate/route → per-shard execute → per-client in-order seal).
-//! Validation — control decrypt plus the at-most-once window check — also
-//! lives here: it is what decides a popped record's path through the
-//! later stages ([`Validated`]).
+//! [`PrecursorServer::poll`] runs the same three-phase sweep for every
+//! shard count (§3.8: pop + validate + route → per-shard FIFO execute →
+//! per-client in-order seal); one shard is the degenerate partition with a
+//! single worker and no handoffs. Validation — control decrypt plus the
+//! at-most-once window check — also lives here: it is what decides a
+//! popped record's path through the later stages ([`Validated`]).
 
 use std::collections::VecDeque;
+use std::fmt;
 
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::time::Cycles;
@@ -23,23 +23,10 @@ use super::ingress::ReplyBatch;
 use super::seal::{self, SealCtx};
 use super::{OpReport, PrecursorServer};
 
-// How a processed record is answered.
-enum ReplyOut {
-    /// Push a new reply record into the client's reply ring. `remember`
-    /// marks replies of *executed* operations, which the at-most-once
-    /// window may need to re-send.
-    Fresh {
-        reply: crate::wire::ReplyFrame,
-        remember: bool,
-    },
-    /// Re-issue the stored last-reply WRITEs byte-for-byte.
-    Retransmit,
-}
-
 // Outcome of validating one popped record — control decrypt plus the
 // at-most-once window check — before anything executes or any reply is
-// sealed. Splitting validation from execution and sealing lets the sharded
-// poll execute foreign-shard requests on the shard owning their key while
+// sealed. Splitting validation from execution and sealing lets the sweep
+// execute foreign-shard requests on the shard owning their key while
 // still sealing each client's replies in pop order (the `reply_seq` /
 // MAC-chain contract requires per-client in-order sealing).
 enum Validated {
@@ -62,8 +49,8 @@ enum Validated {
     },
 }
 
-// One popped record's deferred work in a sharded sweep: the meter its
-// charges accumulate into, plus what remains to be done with it.
+// One popped record's deferred work in a sweep: the meter its charges
+// accumulate into, plus what remains to be done with it.
 struct PendingAction {
     meter: Meter,
     kind: ActionKind,
@@ -92,15 +79,52 @@ enum ActionKind {
     Retransmit { status: Status, opcode: Opcode },
 }
 
+// Per-sweep working buffers, kept on the server between polls so a
+// steady-state sweep allocates no bookkeeping. All of them are empty
+// between sweeps.
+#[derive(Default)]
+pub(super) struct SweepScratch {
+    // Pending actions of the rings that popped something, contiguous per
+    // client in phase-A visit order: a sweep's bookkeeping costs memory
+    // proportional to the records it popped, never the connected fleet —
+    // what keeps dirty-set sweeps O(dirty) at 100k clients.
+    actions: Vec<Option<PendingAction>>,
+    // Per-shard FIFO execution queues of `(client idx, action index)`.
+    exec_queues: Vec<VecDeque<(usize, usize)>>,
+    // Rings that popped something, in visit order: `(client idx, index
+    // of its first action)`; its actions end where the next ring's begin.
+    busy: Vec<(usize, usize)>,
+    // Each worker's start position for this sweep.
+    starts: Vec<usize>,
+    // Dirty-mode visit list.
+    due: Vec<usize>,
+    // Coalesced reply WRITEs of the client phase C is sealing.
+    batch: ReplyBatch,
+}
+
+impl fmt::Debug for SweepScratch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SweepScratch").finish_non_exhaustive()
+    }
+}
+
+// Number of positions worker `w` owns among `n` client slots: the client
+// indices `w + p·shards` below `n`.
+fn owned_positions(n: usize, w: usize, shards: usize) -> usize {
+    n.saturating_sub(w).div_ceil(shards)
+}
+
 impl PrecursorServer {
-    /// One polling sweep of a trusted thread over all client rings (§3.8):
-    /// consumes available requests, processes them, writes replies into the
-    /// clients' reply rings with one-sided WRITEs, and periodically updates
-    /// credits. Returns the number of requests processed.
+    /// One polling sweep of the trusted threads over all client rings
+    /// (§3.8): consumes available requests, processes them, writes replies
+    /// into the clients' reply rings with one-sided WRITEs, and
+    /// periodically updates credits. Returns the number of requests
+    /// processed.
     ///
-    /// Each sweep starts from a rotating client (round-robin) and consumes
-    /// at most [`Config::poll_budget_per_client`](crate::Config::poll_budget_per_client)
-    /// records per client, so a flooding client cannot monopolize the
+    /// Each worker starts its sweep from a rotating client (round-robin)
+    /// and consumes at most
+    /// [`Config::poll_budget_per_client`](crate::Config::poll_budget_per_client)
+    /// records per client, so a flooding client cannot monopolize a
     /// trusted thread: its surplus requests simply wait in its own ring for
     /// later sweeps.
     pub fn poll(&mut self) -> usize {
@@ -121,354 +145,96 @@ impl PrecursorServer {
             self.durability_sweep();
             return 0;
         }
-        let processed = if self.config.shards <= 1 {
-            self.poll_single()
-        } else {
-            self.poll_sharded()
-        };
+        let mut scratch = std::mem::take(&mut self.sweep_scratch);
+        let processed = self.sweep(&mut scratch);
+        self.sweep_scratch = scratch;
         self.durability_sweep();
         self.obs.inc("server.polls", 1);
         self.trace("pipeline", "sweep", self.ingress.polls, processed as u64);
         processed
     }
 
-    // The single trusted polling thread (the pre-sharding code path, kept
-    // operation-for-operation identical so seeded runs reproduce).
-    fn poll_single(&mut self) -> usize {
-        if self.config.dirty_ring_sweep {
-            return self.poll_single_dirty();
-        }
-        let n = self.ingress.ports.len();
-        let start = self.ingress.rr_cursor % n;
-        self.ingress.rr_cursor = (start + 1) % n;
-        let mut processed = 0;
-        for step in 0..n {
-            let idx = (start + step) % n;
-            if self.ingress.ports[idx].is_none() || !self.sessions.list[idx].active {
-                continue;
-            }
-            let (taken, _) = self.sweep_ring_once(idx);
-            processed += taken;
-        }
-        processed
-    }
-
-    // Dirty-set variant of the single-shard sweep (`Config::
-    // dirty_ring_sweep`): instead of scanning every connected ring, the
-    // sweep visits only rings marked by a delivered client WRITE since the
-    // last drain, plus clients owed a deferred credit write-back. The
-    // per-client drain is the exact same body as the full scan.
-    fn poll_single_dirty(&mut self) -> usize {
-        let n = self.ingress.ports.len();
-        let start = self.ingress.rr_cursor % n;
-        self.ingress.rr_cursor = (start + 1) % n;
-        let mut due = self.dirty_due();
-        // Visit in index order starting from the rotating cursor — the
-        // same fairness rotation as the full scan.
-        due.sort_unstable_by_key(|&idx| (idx < start, idx));
-        let mut processed = 0;
-        for idx in due {
-            if self.ingress.ports[idx].is_none() || !self.sessions.list[idx].active {
-                continue;
-            }
-            let (taken, budget) = self.sweep_ring_once(idx);
-            if budget != 0 && taken >= budget {
-                // Budget-capped run: records may remain — re-mark so the
-                // next sweep returns without waiting for another WRITE.
-                self.ingress.dirty_board.mark(idx as u64);
-            }
-            processed += taken;
-        }
-        processed
-    }
-
-    // The rings due a dirty-mode visit: the drained doorbell board (rings
-    // remotely written since the last sweep) unioned with the clients owed
-    // a deferred credit write-back, deduplicated, ascending. Also prunes
-    // revoked/inactive clients from the pending set — their rings are
-    // gone, there is nothing left to flush.
-    fn dirty_due(&mut self) -> Vec<usize> {
-        let n = self.ingress.ports.len();
-        let mut pending = std::mem::take(&mut self.ingress.credit_pending);
-        pending.retain(|&idx| {
-            self.ingress.ports.get(idx).is_some_and(Option::is_some)
-                && self.sessions.list[idx].active
-        });
-        let mut due: Vec<usize> = pending.iter().copied().collect();
-        for tag in self.ingress.dirty_board.drain() {
-            let idx = tag as usize;
-            if idx < n && !pending.contains(&idx) {
-                due.push(idx);
-            }
-        }
-        self.ingress.credit_pending = pending;
-        due.sort_unstable();
-        due
-    }
-
-    // One budgeted drain of client `idx`'s request ring — the per-client
-    // body of the single-shard sweep, shared verbatim by the full-scan and
-    // dirty-set paths. Returns `(taken, budget)`.
-    fn sweep_ring_once(&mut self, idx: usize) -> (usize, usize) {
-        self.ingress.rings_swept += 1;
-        let budget = self.sweep_budget(idx);
-        let mut taken = 0usize;
-        // Whether the current per-client run already sealed a fresh
-        // reply — later replies in the run ride the same batched
-        // crypto pass (`Config::batched_sealing`).
-        let mut run_sealed = false;
-        loop {
-            if budget != 0 && taken >= budget {
-                break;
-            }
-            // Update reply credits from the client-written word.
-            let port = self.ingress.ports[idx].as_mut().expect("live port");
-            let consumed =
-                u64::from_le_bytes(port.reply_credit.read(0, 8).try_into().expect("8 bytes"));
-            port.reply_producer.update_credits(consumed);
-
-            let record = {
-                let ring = port.request_ring.clone();
-                ring.with_mut(|buf| port.request_consumer.pop(buf))
-            };
-            let Some(record) = record else { break };
-            run_sealed = self.process_record(idx, record, run_sealed);
-            taken += 1;
-        }
-        self.adapt_budget(idx, taken, budget);
-        self.post_credit_update(idx, taken > 0);
-        (taken, budget)
-    }
-
     // N trusted polling workers (§3.8: "multiple trusted polling
-    // threads"), simulated in deterministic order. Worker `w` owns the
-    // clients with `client_id % shards == w`. Each sweep runs in three
-    // phases:
+    // threads"), simulated in deterministic order; one shard is the
+    // one-worker case. Worker `w` owns the clients with
+    // `client_id % shards == w`. Each sweep runs in three phases:
     //
     //   A. every worker pops + validates its owned rings in pop order and
     //      routes in-window requests to the shard owning the key — its
     //      own execution queue, or a foreign shard's via the handoff
-    //      queue (charged `shard_handoff_cycles` + the control copy);
+    //      queue (charged `shard_handoff_cycles` + the control copy). A
+    //      ring that pops nothing finishes here (budget update + credit
+    //      flush) and takes no part in the later phases;
     //   B. every shard drains its execution queue FIFO against its own
     //      table partition;
     //   C. every worker seals its clients' replies in per-client pop
     //      order (preserving the reply_seq / MAC-chain contract), with
     //      the sweep's reply WRITEs coalesced into batched posts and one
     //      credit write-back per client.
-    fn poll_sharded(&mut self) -> usize {
+    fn sweep(&mut self, s: &mut SweepScratch) -> usize {
         let n = self.ingress.ports.len();
-        let shards = self.config.shards;
-        let cost = self.cost.clone();
-        if self.ingress.rr_cursors.len() < shards {
-            self.ingress.rr_cursors.resize(shards, 0);
-        }
-        // Dirty-set mode: phase A visits only rings marked since the last
-        // drain (plus deferred-credit clients) instead of every owned
-        // ring. Phases B and C are untouched — they already operate only
-        // on what phase A swept.
-        let dirty: Option<Vec<usize>> = self.config.dirty_ring_sweep.then(|| self.dirty_due());
+        let shards = self.config.shards.max(1);
+        s.exec_queues.resize_with(shards, VecDeque::new);
+        self.ingress.visit_cursors.resize(shards, 0);
 
-        // Pending actions are stored per dense *visit slot* (assigned in
-        // phase-A visit order), not per client id: a sweep's bookkeeping
-        // then costs memory proportional to the clients it visited, never
-        // the connected fleet — what makes dirty-set sweeps O(dirty) at
-        // 100k clients.
-        let mut actions: Vec<Vec<Option<PendingAction>>> = Vec::new();
-        let mut exec_queues: Vec<VecDeque<(usize, usize, usize)>> =
-            (0..shards).map(|_| VecDeque::new()).collect();
-        // Swept clients in visit order: (client idx, action slot, records
-        // popped). The count feeds the budget controller and the
-        // credit-elision flush rule in phase C.
-        let mut swept: Vec<(usize, usize, usize)> = Vec::new();
-        let mut processed = 0usize;
+        // Visit order: worker `w` walks its positions `p` (client
+        // `w + p·shards`) from a cursor that advances once per poll, so no
+        // ring is always served first.
+        s.starts.clear();
+        for w in 0..shards {
+            let positions = owned_positions(n, w, shards).max(1);
+            let start = self.ingress.visit_cursors[w] % positions;
+            self.ingress.visit_cursors[w] = (start + 1) % positions;
+            s.starts.push(start);
+        }
 
         // Phase A — worker sweeps: pop + validate, route to owning shard.
-        for w in 0..shards {
-            let owned: Vec<usize> = match &dirty {
-                Some(due) => due
-                    .iter()
-                    .copied()
-                    .filter(|&i| i % shards == w)
-                    .filter(|&i| self.ingress.ports[i].is_some() && self.sessions.list[i].active)
-                    .collect(),
-                None => (w..n)
-                    .step_by(shards)
-                    .filter(|&i| self.ingress.ports[i].is_some() && self.sessions.list[i].active)
-                    .collect(),
-            };
-            if owned.is_empty() {
-                continue;
+        let mut processed = 0usize;
+        if self.config.dirty_ring_sweep {
+            // Dirty-set mode visits only rings marked since the last drain
+            // (plus deferred-credit clients), in the full scan's order.
+            let mut due = std::mem::take(&mut s.due);
+            self.dirty_due(&mut due);
+            due.sort_unstable_by_key(|&idx| {
+                let (w, p) = (idx % shards, idx / shards);
+                (w, p < s.starts[w], p)
+            });
+            for &idx in &due {
+                processed += self.visit_ring(idx % shards, idx, s);
             }
-            let start = self.ingress.rr_cursors[w] % owned.len();
-            self.ingress.rr_cursors[w] = (start + 1) % owned.len();
-            for step in 0..owned.len() {
-                let idx = owned[(start + step) % owned.len()];
-                self.ingress.rings_swept += 1;
-                let slot = actions.len();
-                actions.push(Vec::new());
-                let budget = self.sweep_budget(idx);
-                let mut taken = 0usize;
-                loop {
-                    if budget != 0 && taken >= budget {
-                        break;
-                    }
-                    let port = self.ingress.ports[idx].as_mut().expect("live port");
-                    let consumed = u64::from_le_bytes(
-                        port.reply_credit.read(0, 8).try_into().expect("8 bytes"),
-                    );
-                    port.reply_producer.update_credits(consumed);
-                    let record = {
-                        let ring = port.request_ring.clone();
-                        ring.with_mut(|buf| port.request_consumer.pop(buf))
-                    };
-                    let Some(record) = record else { break };
-                    processed += 1;
-                    taken += 1;
-                    let mut meter = Meter::new();
-                    let kind = match self.validate_record(idx, &record, &mut meter) {
-                        Validated::Reject {
-                            status,
-                            opcode,
-                            oid,
-                            remember,
-                        } => ActionKind::Seal {
-                            status,
-                            opcode,
-                            value_len: 0,
-                            plan: ReplyPlan::Control { status, oid },
-                            remember,
-                            set_last: false,
-                            shard: w as u32,
-                        },
-                        Validated::Retransmit { status, opcode } => {
-                            ActionKind::Retransmit { status, opcode }
-                        }
-                        Validated::Execute {
-                            opcode,
-                            control,
-                            frame,
-                        } => {
-                            let target = self.store.table.shard_of(&control.key);
-                            if target != w {
-                                // Shard-crossing handoff: the popping
-                                // worker copies the validated control into
-                                // the owning shard's queue.
-                                self.ingress.handoffs += 1;
-                                self.obs.inc("server.handoffs", 1);
-                                meter.charge(
-                                    Stage::Enclave,
-                                    cost.server_time(cost.memcpy(frame.sealed_control.len())),
-                                );
-                                meter.charge(
-                                    Stage::Enclave,
-                                    cost.server_time(Cycles(cost.shard_handoff_cycles)),
-                                );
-                            }
-                            exec_queues[target].push_back((idx, slot, actions[slot].len()));
-                            ActionKind::AwaitExec {
-                                opcode,
-                                control,
-                                frame,
-                            }
-                        }
-                    };
-                    actions[slot].push(Some(PendingAction { meter, kind }));
+            due.clear();
+            s.due = due;
+        } else {
+            for w in 0..shards {
+                let positions = owned_positions(n, w, shards);
+                let start = s.starts[w];
+                for step in 0..positions {
+                    let p = (start + step) % positions;
+                    processed += self.visit_ring(w, w + p * shards, s);
                 }
-                self.adapt_budget(idx, taken, budget);
-                if dirty.is_some() && budget != 0 && taken >= budget {
-                    // Budget-capped run: records may remain — re-mark so
-                    // the next sweep returns without another WRITE.
-                    self.ingress.dirty_board.mark(idx as u64);
-                }
-                swept.push((idx, slot, taken));
             }
         }
 
         // Phase B — per-shard FIFO execution against the owned partition.
-        for (s, queue) in exec_queues.iter_mut().enumerate() {
-            while let Some((idx, slot, ai)) = queue.pop_front() {
-                let mut act = actions[slot][ai].take().expect("pending action");
-                let ActionKind::AwaitExec {
-                    opcode,
-                    control,
-                    frame,
-                } = act.kind
-                else {
-                    unreachable!("execution queues hold AwaitExec entries");
-                };
-                let session_key = self.sessions.list[idx].session_key.clone();
-                let journal_tap = self
-                    .durability
-                    .is_some()
-                    .then(|| (control.key.clone(), control.oid));
-                let op_oid = control.oid;
-                let exec_result = if let Some(busy) = self.catchup_gate(opcode, op_oid) {
-                    Ok(busy)
-                } else if let Some(redirect) = self.routing_gate(&control.key, op_oid) {
-                    Ok(redirect)
-                } else {
-                    let mut ctx = ExecCtx {
-                        enclave: &mut self.enclave,
-                        config: &self.config,
-                        cost: &self.cost,
-                        adversary: &mut self.adversary,
-                    };
-                    self.store.execute_plan(
-                        &mut ctx,
-                        ExecRequest {
-                            idx,
-                            opcode,
-                            control,
-                            frame: &frame,
-                            session_key: &session_key,
-                        },
-                        &mut act.meter,
-                    )
-                };
-                act.kind = match exec_result {
-                    Ok((status, value_len, plan)) => {
-                        self.trace("exec", super::op_metric(opcode), idx as u64, status as u64);
-                        if let Some((key, oid)) = &journal_tap {
-                            self.journal_mutation(idx, opcode, status, key, *oid, &mut act.meter);
-                        }
-                        ActionKind::Seal {
-                            status,
-                            opcode,
-                            value_len,
-                            plan,
-                            remember: true,
-                            set_last: true,
-                            shard: s as u32,
-                        }
-                    }
-                    Err(_) => ActionKind::Seal {
-                        status: Status::Error,
-                        opcode: Opcode::Get,
-                        value_len: 0,
-                        plan: ReplyPlan::Control {
-                            status: Status::Error,
-                            oid: 0,
-                        },
-                        remember: false,
-                        set_last: false,
-                        shard: s as u32,
-                    },
-                };
-                actions[slot][ai] = Some(act);
+        for (shard, queue) in s.exec_queues.iter_mut().enumerate() {
+            while let Some((idx, ai)) = queue.pop_front() {
+                let act = s.actions[ai].take().expect("pending action");
+                s.actions[ai] = Some(self.execute_action(idx, shard, act));
             }
         }
 
         // Phase C — per-client in-order sealing + batched reply WRITEs +
-        // one credit write-back per swept client.
-        for &(idx, slot, taken) in &swept {
-            let mut batch = ReplyBatch::default();
+        // one credit write-back per busy client.
+        for k in 0..s.busy.len() {
+            let (idx, first) = s.busy[k];
+            let end = s.busy.get(k + 1).map_or(s.actions.len(), |&(_, next)| next);
             // The client's run so far has sealed a fresh reply: later
             // seals ride the same batched crypto pass. A retransmit
             // interrupts the run (its WRITEs flush first), so the pass
             // restarts after it.
             let mut run_sealed = false;
-            for ai in 0..actions[slot].len() {
-                let mut act = actions[slot][ai].take().expect("sealed once");
+            for ai in first..end {
+                let mut act = s.actions[ai].take().expect("sealed once");
                 let (status, opcode, value_len, shard) = match act.kind {
                     ActionKind::Seal {
                         status,
@@ -485,13 +251,13 @@ impl PrecursorServer {
                         let reply = self.seal_for(idx, opcode, plan, run_sealed, &mut act.meter);
                         run_sealed = true;
                         self.charge_fixed_occupancy(opcode, &mut act.meter);
-                        self.emit_fresh_batched(idx, reply, remember, &mut batch, &mut act.meter);
+                        self.emit_fresh(idx, reply, remember, &mut s.batch, &mut act.meter);
                         (status, opcode, value_len, shard)
                     }
                     ActionKind::Retransmit { status, opcode } => {
                         // Preserve WRITE ordering: everything batched so
                         // far lands before the retransmitted bytes.
-                        self.flush_reply_batch(idx, &mut batch);
+                        self.flush_reply_batch(idx, &mut s.batch);
                         run_sealed = false;
                         self.charge_fixed_occupancy(opcode, &mut act.meter);
                         self.emit_retransmit(idx, &mut act.meter);
@@ -508,146 +274,195 @@ impl PrecursorServer {
                     meter: act.meter,
                 });
             }
-            self.flush_reply_batch(idx, &mut batch);
-            self.post_credit_update(idx, taken > 0);
+            self.flush_reply_batch(idx, &mut s.batch);
+            self.post_credit_update(idx, true);
         }
+        s.actions.clear();
+        s.busy.clear();
         processed
     }
 
-    // The single-shard path's per-record processing: validate → execute →
-    // seal → emit, all in the client's pop order. `run_sealed` says the
-    // client's current sweep run already sealed a fresh reply, so this
-    // record's seal (if any) rides the same batched crypto pass; returns
-    // whether the run has an open pass after this record (retransmits
-    // interrupt it).
-    fn process_record(&mut self, idx: usize, record: Vec<u8>, run_sealed: bool) -> bool {
-        let mut meter = Meter::new();
+    // Fills `due` with the rings due a dirty-mode visit: the drained
+    // doorbell board (rings remotely written since the last sweep) unioned
+    // with the clients owed a deferred credit write-back, deduplicated.
+    // Also prunes revoked/inactive clients from the pending set — their
+    // rings are gone, there is nothing left to flush.
+    fn dirty_due(&mut self, due: &mut Vec<usize>) {
+        let n = self.ingress.ports.len();
+        let mut pending = std::mem::take(&mut self.ingress.credit_pending);
+        pending.retain(|&idx| {
+            self.ingress.ports.get(idx).is_some_and(Option::is_some)
+                && self.sessions.list[idx].active
+        });
+        due.extend(pending.iter().copied());
+        for tag in self.ingress.dirty_board.drain() {
+            let idx = tag as usize;
+            if idx < n && !pending.contains(&idx) {
+                due.push(idx);
+            }
+        }
+        self.ingress.credit_pending = pending;
+    }
 
-        let (status, opcode, value_len, shard, out) =
-            match self.validate_record(idx, &record, &mut meter) {
+    // Phase A for one ring: a budgeted drain of client `idx`'s request
+    // ring by worker `w`, validating each record and routing it to the
+    // shard owning its key. Returns the records popped.
+    fn visit_ring(&mut self, w: usize, idx: usize, s: &mut SweepScratch) -> usize {
+        if self.ingress.ports[idx].is_none() || !self.sessions.list[idx].active {
+            return 0;
+        }
+        self.ingress.rings_swept += 1;
+        let budget = self.sweep_budget(idx);
+        let first = s.actions.len();
+        let mut taken = 0usize;
+        while budget == 0 || taken < budget {
+            let port = self.ingress.ports[idx].as_mut().expect("live port");
+            let Some(record) = port.pop_request() else {
+                break;
+            };
+            taken += 1;
+            let mut meter = Meter::new();
+            let kind = match self.validate_record(idx, &record, &mut meter) {
                 Validated::Reject {
                     status,
                     opcode,
                     oid,
                     remember,
-                } => {
-                    let reply = self.seal_for(
-                        idx,
-                        opcode,
-                        ReplyPlan::Control { status, oid },
-                        run_sealed,
-                        &mut meter,
-                    );
-                    (status, opcode, 0, 0u32, ReplyOut::Fresh { reply, remember })
-                }
+                } => ActionKind::Seal {
+                    status,
+                    opcode,
+                    value_len: 0,
+                    plan: ReplyPlan::Control { status, oid },
+                    remember,
+                    set_last: false,
+                    shard: w as u32,
+                },
                 Validated::Retransmit { status, opcode } => {
-                    (status, opcode, 0, 0u32, ReplyOut::Retransmit)
+                    ActionKind::Retransmit { status, opcode }
                 }
                 Validated::Execute {
                     opcode,
                     control,
                     frame,
                 } => {
-                    let shard = self.store.table.shard_of(&control.key) as u32;
-                    let session_key = self.sessions.list[idx].session_key.clone();
-                    let journal_tap = self
-                        .durability
-                        .is_some()
-                        .then(|| (control.key.clone(), control.oid));
-                    let op_oid = control.oid;
-                    let exec_result = if let Some(busy) = self.catchup_gate(opcode, op_oid) {
-                        Ok(busy)
-                    } else if let Some(redirect) = self.routing_gate(&control.key, op_oid) {
-                        Ok(redirect)
-                    } else {
-                        let mut ctx = ExecCtx {
-                            enclave: &mut self.enclave,
-                            config: &self.config,
-                            cost: &self.cost,
-                            adversary: &mut self.adversary,
-                        };
-                        self.store.execute_plan(
-                            &mut ctx,
-                            ExecRequest {
-                                idx,
-                                opcode,
-                                control,
-                                frame: &frame,
-                                session_key: &session_key,
-                            },
-                            &mut meter,
-                        )
-                    };
-                    match exec_result {
-                        Ok((status, value_len, plan)) => {
-                            self.trace("exec", super::op_metric(opcode), idx as u64, status as u64);
-                            if let Some((key, oid)) = &journal_tap {
-                                self.journal_mutation(idx, opcode, status, key, *oid, &mut meter);
-                            }
-                            self.sessions.list[idx].last_status = status;
-                            let reply = self.seal_for(idx, opcode, plan, run_sealed, &mut meter);
-                            (
-                                status,
-                                opcode,
-                                value_len,
-                                shard,
-                                ReplyOut::Fresh {
-                                    reply,
-                                    remember: true,
-                                },
-                            )
-                        }
-                        Err(_) => {
-                            // Store-level failure: emit an error reply that at
-                            // least unblocks the client (chain-linked like any
-                            // other, so the client's verification stream stays
-                            // contiguous).
-                            let reply = self.seal_for(
-                                idx,
-                                Opcode::Get,
-                                ReplyPlan::Control {
-                                    status: Status::Error,
-                                    oid: 0,
-                                },
-                                run_sealed,
-                                &mut meter,
-                            );
-                            (
-                                Status::Error,
-                                Opcode::Get,
-                                0,
-                                shard,
-                                ReplyOut::Fresh {
-                                    reply,
-                                    remember: false,
-                                },
-                            )
-                        }
+                    let target = self.store.table.shard_of(&control.key);
+                    if target != w {
+                        // Shard-crossing handoff: the popping worker copies
+                        // the validated control into the owning shard's
+                        // queue.
+                        self.ingress.handoffs += 1;
+                        self.obs.inc("server.handoffs", 1);
+                        let cost = &self.cost;
+                        meter.charge(
+                            Stage::Enclave,
+                            cost.server_time(cost.memcpy(frame.sealed_control.len())),
+                        );
+                        meter.charge(
+                            Stage::Enclave,
+                            cost.server_time(Cycles(cost.shard_handoff_cycles)),
+                        );
+                    }
+                    s.exec_queues[target].push_back((idx, s.actions.len()));
+                    ActionKind::AwaitExec {
+                        opcode,
+                        control,
+                        frame,
                     }
                 }
             };
-
-        self.charge_fixed_occupancy(opcode, &mut meter);
-
-        // Write the reply into the client's reply ring (one-sided WRITE by
-        // the untrusted worker, §3.8).
-        let sealed_fresh = matches!(out, ReplyOut::Fresh { .. });
-        match out {
-            ReplyOut::Fresh { reply, remember } => {
-                self.emit_fresh(idx, reply, remember, &mut meter)
-            }
-            ReplyOut::Retransmit => self.emit_retransmit(idx, &mut meter),
+            s.actions.push(Some(PendingAction { meter, kind }));
         }
+        self.adapt_budget(idx, taken, budget);
+        if taken == 0 {
+            // Idle ring: nothing to execute or seal, only a deferred credit
+            // to flush.
+            self.post_credit_update(idx, false);
+            return 0;
+        }
+        if self.config.dirty_ring_sweep && budget != 0 && taken >= budget {
+            // Budget-capped run: records may remain — re-mark so the next
+            // sweep returns without waiting for another WRITE.
+            self.ingress.dirty_board.mark(idx as u64);
+        }
+        s.busy.push((idx, first));
+        taken
+    }
 
-        self.push_report(OpReport {
-            client_id: idx as u32,
+    // Phase B for one record: the gates (staged catch-up, cluster routing),
+    // enclave execution on `shard`'s partition, then the journal tap.
+    // Returns the action ready to seal.
+    fn execute_action(&mut self, idx: usize, shard: usize, act: PendingAction) -> PendingAction {
+        let PendingAction { mut meter, kind } = act;
+        let ActionKind::AwaitExec {
             opcode,
-            status,
-            value_len,
-            shard,
-            meter,
-        });
-        sealed_fresh
+            control,
+            frame,
+        } = kind
+        else {
+            unreachable!("execution queues hold AwaitExec entries");
+        };
+        let session_key = self.sessions.list[idx].session_key.clone();
+        let journal_tap = self
+            .durability
+            .is_some()
+            .then(|| (control.key.clone(), control.oid));
+        let op_oid = control.oid;
+        let exec_result = if let Some(busy) = self.catchup_gate(opcode, op_oid) {
+            Ok(busy)
+        } else if let Some(redirect) = self.routing_gate(&control.key, op_oid) {
+            Ok(redirect)
+        } else {
+            let mut ctx = ExecCtx {
+                enclave: &mut self.enclave,
+                config: &self.config,
+                cost: &self.cost,
+                adversary: &mut self.adversary,
+            };
+            self.store.execute_plan(
+                &mut ctx,
+                ExecRequest {
+                    idx,
+                    opcode,
+                    control,
+                    frame: &frame,
+                    session_key: &session_key,
+                },
+                &mut meter,
+            )
+        };
+        let kind = match exec_result {
+            Ok((status, value_len, plan)) => {
+                self.trace("exec", super::op_metric(opcode), idx as u64, status as u64);
+                if let Some((key, oid)) = &journal_tap {
+                    self.journal_mutation(idx, opcode, status, key, *oid, &mut meter);
+                }
+                ActionKind::Seal {
+                    status,
+                    opcode,
+                    value_len,
+                    plan,
+                    remember: true,
+                    set_last: true,
+                    shard: shard as u32,
+                }
+            }
+            // Store-level failure: an error reply that at least unblocks
+            // the client (chain-linked like any other, so the client's
+            // verification stream stays contiguous).
+            Err(_) => ActionKind::Seal {
+                status: Status::Error,
+                opcode: Opcode::Get,
+                value_len: 0,
+                plan: ReplyPlan::Control {
+                    status: Status::Error,
+                    oid: 0,
+                },
+                remember: false,
+                set_last: false,
+                shard: shard as u32,
+            },
+        };
+        PendingAction { meter, kind }
     }
 
     // Seals one [`ReplyPlan`] for client `idx` by assembling the narrow

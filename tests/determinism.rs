@@ -1,12 +1,14 @@
-//! Determinism regression suite for the sharding refactor.
+//! Determinism regression suite for the poll sweep.
 //!
-//! `Config::shards == 1` must remain the pre-sharding sequential polling
-//! loop: same seed → bit-identical fault log, adversary log, per-op report
-//! stream and operation outcomes. The whole observable run is folded into
-//! one FxHash digest (stable across platforms and compiler versions,
-//! unlike `DefaultHasher`), compared between repeated runs, between
-//! `Config::default()` and `Config::sharded(1)`, and against a golden
-//! constant pinning today's behaviour against future refactors.
+//! Every shard count runs one three-phase sweep, and `Config::shards == 1`
+//! is its one-worker case: same seed → bit-identical fault log, adversary
+//! log, per-op report stream and operation outcomes. The whole observable
+//! run is folded into one FxHash digest (stable across platforms and
+//! compiler versions, unlike `DefaultHasher`), compared between repeated
+//! runs, between `Config::default()` and `Config::sharded(1)`, between
+//! full-scan and dirty-ring sweeps, and against a golden constant —
+//! recorded on the pre-sharding sequential loop — that pins today's
+//! behaviour against future refactors.
 
 use std::fmt::Write as _;
 
@@ -133,11 +135,12 @@ fn sharded_one_is_the_default_code_path() {
 
 #[test]
 fn single_shard_chaos_run_matches_golden_digest() {
-    // Golden value of the shards=1 run at seed 7, recorded when the
-    // sharding refactor landed. A change here means seeded single-shard
-    // runs no longer reproduce the pre-sharding polling loop — either an
-    // intended behaviour change (re-record the constant and say so in the
-    // commit) or an accidental break of the legacy path (fix it).
+    // Golden value of the shards=1 run at seed 7, recorded on the
+    // pre-sharding sequential polling loop and reproduced by the
+    // one-worker case of the three-phase sweep. A change here means seeded
+    // single-shard runs no longer pop, seal and post in that order —
+    // either an intended behaviour change (re-record the constant and say
+    // so in the commit) or an accidental break (fix it).
     const GOLDEN: u64 = 12_986_051_342_204_127_709;
     assert_eq!(run_digest(Config::default(), 7), GOLDEN);
 }
@@ -353,5 +356,122 @@ fn multi_shard_chaos_runs_reproduce_per_seed() {
         let a = run_digest(Config::sharded(shards), 21);
         let b = run_digest(Config::sharded(shards), 21);
         assert_eq!(a, b, "shards={shards} must replay bit-identically");
+    }
+}
+
+const MULTI_CLIENTS: usize = 6;
+const MULTI_ROUNDS: usize = 12;
+
+// A multi-client flavour of `run_digest`: six clients pipeline up to three
+// puts and gets each per round (some rings stay idle, some carry a run),
+// optionally under the scripted fault plan, and every observable output is
+// folded into one digest. Meters are left out: they are cost attribution.
+fn multi_client_digest(config: Config, seed: u64, faulty: bool) -> u64 {
+    let cost = CostModel::default();
+    let mut server = PrecursorServer::new(config, &cost);
+    if faulty {
+        server.set_fault_plan(fault_plan(), seed);
+    }
+    let retry = RetryPolicy {
+        jitter: 0.0,
+        ..RetryPolicy::default()
+    };
+    let mut clients: Vec<PrecursorClient> = (0..MULTI_CLIENTS as u64)
+        .map(|i| {
+            let mut c =
+                PrecursorClient::connect(&mut server, seed ^ ((i + 1) << 16)).expect("connect");
+            c.set_retry_policy(retry);
+            c
+        })
+        .collect();
+    let mut rng = SimRng::seed_from(seed ^ 0x6c1e);
+    let mut trace = String::new();
+    for round in 0..MULTI_ROUNDS {
+        for (c, client) in clients.iter_mut().enumerate() {
+            for _ in 0..rng.gen_range(4) {
+                let key = [rng.gen_range(16) as u8];
+                let sent = if rng.gen_range(2) == 0 {
+                    let mut v = vec![0u8; 1 + rng.gen_range(64) as usize];
+                    rng.fill_bytes(&mut v);
+                    client.put(&key, &v)
+                } else {
+                    client.get(&key)
+                };
+                let _ = write!(trace, "r{round}c{c}:{sent:?};");
+            }
+        }
+        // Drain the round: sweep, let every client consume its replies,
+        // and let virtual time pass toward the retransmission deadlines.
+        let mut steps = 0;
+        loop {
+            let n = server.poll();
+            for client in clients.iter_mut() {
+                client.poll_replies();
+            }
+            if clients.iter().all(|c| c.in_flight() == 0) {
+                break;
+            }
+            if n == 0 {
+                for client in clients.iter_mut() {
+                    let _ = client.advance(retry.per_try_timeout / 4);
+                }
+            }
+            steps += 1;
+            assert!(steps < 10_000, "round {round} must drain");
+        }
+        for (c, client) in clients.iter_mut().enumerate() {
+            for comp in client.take_all_completed() {
+                let _ = write!(
+                    trace,
+                    "c{c}:oid{}:{:?}:{:?}:{:?};",
+                    comp.oid, comp.status, comp.value, comp.error
+                );
+            }
+        }
+    }
+    let faults = server.fault_log();
+    assert_eq!(faulty, !faults.is_empty(), "the fault plan must fire");
+    let _ = write!(trace, "faults:{faults:?};");
+    for r in server.take_reports() {
+        let _ = write!(
+            trace,
+            "report:{}:{:?}:{:?}:{}:{};",
+            r.client_id, r.opcode, r.status, r.value_len, r.shard
+        );
+    }
+    let _ = write!(
+        trace,
+        "credits:{};handoffs:{};len:{}",
+        server.credit_writes(),
+        server.handoffs(),
+        server.len()
+    );
+    stable_key_hash(&trace)
+}
+
+#[test]
+fn dirty_and_full_scan_sweeps_agree_for_many_clients() {
+    // Both visit sources share one order: worker `w` walks the positions
+    // of its clients `w + p·shards` from a cursor that advances once per
+    // poll, and the dirty set only filters that order. So a sweep that
+    // skips idle rings serves the busy ones exactly as the full scan does.
+    // Equality is a property of the default knobs: with an adaptive
+    // budget the full scan's idle visits halve a ring's budget, which
+    // dirty sweeps never make, and the runs may then diverge.
+    for shards in [1usize, 2, 4] {
+        for seed in [21u64, 22, 23] {
+            for faulty in [false, true] {
+                let config = |dirty_ring_sweep| Config {
+                    dirty_ring_sweep,
+                    ..Config::sharded(shards)
+                };
+                assert_eq!(
+                    multi_client_digest(config(false), seed, faulty),
+                    multi_client_digest(config(true), seed, faulty),
+                    "shards={shards} seed={seed} faulty={faulty}: \
+                     dirty sweeps must serve rings in the full-scan order"
+                );
+            }
+        }
     }
 }

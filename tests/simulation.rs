@@ -197,6 +197,40 @@ fn rdma_post_counters_track_messages() {
 }
 
 #[test]
+fn a_reply_that_wraps_the_ring_is_charged_one_post_per_write() {
+    // A reply record that does not fit before the end of the client's
+    // reply ring goes out as two WRITEs: the wrap marker at the tail and
+    // the record at offset 0. At every shard count the meter charges one
+    // post per WRITE actually issued, so `rdma_posts` matches the QP.
+    for shards in [1usize, 4] {
+        let cost = CostModel::default();
+        let config = Config {
+            ring_bytes: 1024,
+            ..Config::sharded(shards)
+        };
+        let mut server = PrecursorServer::new(config, &cost);
+        let mut client = PrecursorClient::connect(&mut server, 5).unwrap();
+        for i in 0..40u8 {
+            client.put_sync(&mut server, &[i], b"value").unwrap();
+        }
+        let posts: Vec<u64> = server
+            .take_reports()
+            .iter()
+            .map(|r| r.meter.counters().rdma_posts)
+            .collect();
+        assert_eq!(posts.len(), 40);
+        assert!(
+            posts.iter().all(|&p| p == 1 || p == 2),
+            "shards={shards}: one record is at most two WRITEs: {posts:?}"
+        );
+        assert!(
+            posts.contains(&2),
+            "shards={shards}: a wrapping reply is charged two posts: {posts:?}"
+        );
+    }
+}
+
+#[test]
 fn deterministic_runs_produce_identical_reports() {
     let run = || {
         let (mut server, mut client) = setup(EncryptionMode::ClientSide);
