@@ -10,7 +10,9 @@
 
 use std::time::Instant;
 
-use precursor_crypto::{cmac, gcm, salsa20, sha256, Key128, Key256, Nonce12, Nonce8};
+use precursor_crypto::aes::Aes128;
+use precursor_crypto::gcm::GcmKey;
+use precursor_crypto::{cmac, gcm, salsa20, sha256, Key128, Key256, MacChain, Nonce12, Nonce8};
 use precursor_shieldstore::merkle::MerkleTree;
 use precursor_storage::ring::{RingConsumer, RingProducer};
 use precursor_storage::robinhood::RobinHoodMap;
@@ -63,15 +65,44 @@ fn bench_robinhood() {
 
 fn bench_crypto() {
     println!("-- crypto --");
+    // Key setup: what every one-time key (K_op's CMAC key) pays per use and
+    // every session key pays once.
+    let mut k = [0u8; 16];
+    bench("aes128_new", 1_000_000, 0, || {
+        k[0] = k[0].wrapping_add(1);
+        std::hint::black_box(Aes128::new(&Key128::from_bytes(k)));
+    });
+    bench("gcm_key_new", 1_000_000, 0, || {
+        k[0] = k[0].wrapping_add(1);
+        std::hint::black_box(GcmKey::new(&Key128::from_bytes(k)));
+    });
+    // The reply MAC chain advance over a reply's 54-byte chain input.
+    let mut chain = MacChain::new(&Key128::from_bytes([5; 16]), b"bench");
+    let msg = [0x5Au8; 54];
+    bench("mac_chain_advance", 1_000_000, 0, || {
+        std::hint::black_box(chain.advance(&msg));
+    });
     for len in [64usize, 1024, 16_384] {
         let data = vec![0xA5u8; len];
         let iters = (4_000_000 / len).max(100) as u64;
         let key = Key128::from_bytes([1; 16]);
         let mut ctr = 0u64;
+        // Per call: expands the key every time (one-shot keys).
         bench(&format!("aes_gcm_seal_{len}"), iters, len as u64, || {
             ctr += 1;
             std::hint::black_box(gcm::seal(&key, &Nonce12::from_counter(ctr), &[], &data));
         });
+        // Context reused: a session's expanded K_session.
+        let ctx = GcmKey::new(&key);
+        bench(
+            &format!("aes_gcm_seal_ctx_{len}"),
+            iters,
+            len as u64,
+            || {
+                ctr += 1;
+                std::hint::black_box(ctx.seal(&Nonce12::from_counter(ctr), &[], &data));
+            },
+        );
         let key256 = Key256::from_bytes([2; 32]);
         let nonce = Nonce8::from_bytes([3; 8]);
         let mut buf = data.clone();

@@ -7,8 +7,9 @@
 //! stage's job, so that in sharded mode execution can run in shard order
 //! while reply sequence numbers are still consumed in pop order.
 
+use precursor_crypto::gcm::{self, GcmKey};
 use precursor_crypto::keys::{Key128, Key256, Nonce8, Tag};
-use precursor_crypto::{cmac, gcm, sha256};
+use precursor_crypto::{cmac, sha256};
 use precursor_rdma::adversary::AdversaryInjector;
 use precursor_rdma::mr::Memory;
 use precursor_sgx::enclave::{Enclave, RegionId};
@@ -87,13 +88,14 @@ pub(super) struct ExecCtx<'a> {
 
 // One validated, in-window request as the exec stage consumes it: the
 // session slot it came from, the decrypted control segment, the raw frame
-// (payload + MAC), and the session key for server-side decryption.
+// (payload + MAC), and the session's `K_session` context for server-side
+// decryption, borrowed from the session table.
 pub(super) struct ExecRequest<'a> {
     pub(super) idx: usize,
     pub(super) opcode: Opcode,
     pub(super) control: RequestControl,
     pub(super) frame: &'a RequestFrame,
-    pub(super) session_key: &'a Key128,
+    pub(super) session_key: &'a GcmKey,
 }
 
 // Exec-stage state: the enclave index, the untrusted payload pool, and
@@ -104,7 +106,10 @@ pub(super) struct StoreExec {
     // shards keyed by a stable hash of the key (one partition per trusted
     // polling worker, §3.8). One shard = the legacy unsharded table.
     pub(super) table: ShardedRobinHoodMap<Vec<u8>, EntryMeta>,
+    // Storage-encryption key (server-side mode) and its expanded context;
+    // the key itself rides in sealed snapshots.
     pub(super) storage_key: Key128,
+    pub(super) storage_cipher: GcmKey,
     pub(super) storage_seq: u64,
     // Store-mutation counter + running digest (rollback/fork evidence
     // carried in every reply control): bumped on every applied mutation.
@@ -261,8 +266,7 @@ impl StoreExec {
                     Stage::Enclave,
                     cost.server_time(cost.aes_gcm(frame.payload.len())),
                 );
-                let plain = match gcm::open(
-                    session_key,
+                let plain = match session_key.open(
                     &payload_request_nonce(control.oid),
                     &[],
                     &frame.payload,
@@ -283,8 +287,7 @@ impl StoreExec {
                 self.storage_seq += 1;
                 let seq = self.storage_seq;
                 meter.charge(Stage::Enclave, cost.server_time(cost.aes_gcm(plain.len())));
-                let stored = gcm::seal(
-                    &self.storage_key,
+                let stored = self.storage_cipher.seal(
                     &precursor_crypto::Nonce12::from_counter(seq),
                     &[],
                     &plain,
@@ -380,13 +383,14 @@ impl StoreExec {
                                 Stage::Enclave,
                                 cost.server_time(cost.aes_gcm(stored.len())),
                             );
-                            let plain = gcm::open(
-                                &self.storage_key,
-                                &precursor_crypto::Nonce12::from_counter(entry.storage_seq),
-                                &[],
-                                &stored,
-                            )
-                            .expect("storage ciphertext is server-controlled");
+                            let plain = self
+                                .storage_cipher
+                                .open(
+                                    &precursor_crypto::Nonce12::from_counter(entry.storage_seq),
+                                    &[],
+                                    &stored,
+                                )
+                                .expect("storage ciphertext is server-controlled");
                             let value_len = plain.len();
                             Ok((
                                 Status::Ok,
@@ -586,13 +590,14 @@ impl PrecursorServer {
                 };
                 let stored = self.store.payload_mem.read(range.offset, entry.payload_len);
                 Some(
-                    gcm::open(
-                        &self.store.storage_key,
-                        &precursor_crypto::Nonce12::from_counter(entry.storage_seq),
-                        &[],
-                        &stored,
-                    )
-                    .is_ok(),
+                    self.store
+                        .storage_cipher
+                        .open(
+                            &precursor_crypto::Nonce12::from_counter(entry.storage_seq),
+                            &[],
+                            &stored,
+                        )
+                        .is_ok(),
                 )
             }
         }
@@ -654,6 +659,7 @@ impl PrecursorServer {
         &mut self,
         body: crate::snapshot::SnapshotBody,
     ) -> Result<(), StoreError> {
+        self.store.storage_cipher = GcmKey::new(&body.storage_key);
         self.store.storage_key = body.storage_key;
         self.store.storage_seq = body.storage_seq;
         self.store.mutation_seq = body.mutation_seq;

@@ -16,8 +16,6 @@ use precursor_sim::time::Cycles;
 use crate::config::EncryptionMode;
 use crate::wire::{request_aad, Opcode, RequestControl, RequestFrame, Status};
 
-use precursor_crypto::gcm;
-
 use super::exec::{ExecCtx, ExecRequest, ReplyPlan};
 use super::ingress::ReplyBatch;
 use super::seal::{self, SealCtx};
@@ -401,7 +399,6 @@ impl PrecursorServer {
         else {
             unreachable!("execution queues hold AwaitExec entries");
         };
-        let session_key = self.sessions.list[idx].session_key.clone();
         let journal_tap = self
             .durability
             .is_some()
@@ -425,7 +422,7 @@ impl PrecursorServer {
                     opcode,
                     control,
                     frame: &frame,
-                    session_key: &session_key,
+                    session_key: &self.sessions.list[idx].session_key,
                 },
                 &mut meter,
             )
@@ -586,13 +583,15 @@ impl PrecursorServer {
 
         // Trusted: decrypt + authenticate the control data (Algorithm 2,
         // lines 2-3).
-        let session_key = self.sessions.list[idx].session_key.clone();
         let aad = request_aad(opcode, frame.client_id);
         meter.charge(
             Stage::Enclave,
             cost.server_time(cost.aes_gcm(frame.sealed_control.len())),
         );
-        let Ok(control_plain) = gcm::open(&session_key, &frame.iv, &aad, &frame.sealed_control)
+        let Ok(control_plain) =
+            self.sessions.list[idx]
+                .session_key
+                .open(&frame.iv, &aad, &frame.sealed_control)
         else {
             return Validated::Reject {
                 status: Status::Error,

@@ -7,7 +7,6 @@
 //! The stage's inputs are deliberately narrow: one [`SealCtx`], one
 //! [`Session`], and the plan to seal.
 
-use precursor_crypto::gcm;
 use precursor_crypto::keys::Tag;
 use precursor_sgx::enclave::Enclave;
 use precursor_sim::meter::{Meter, Stage};
@@ -112,7 +111,6 @@ pub(super) fn seal_plan(
             meter,
         ),
         ReplyPlan::ServerEncGet { plain, oid } => {
-            let session_key = session.session_key.clone();
             // The payload transport seal uses the same reply_seq the
             // control reply will consume, so peek it; finish_reply
             // increments it once.
@@ -121,7 +119,9 @@ pub(super) fn seal_plan(
                 Stage::Enclave,
                 ctx.cost.server_time(gcm_cycles(ctx, plain.len())),
             );
-            let transport = gcm::seal(&session_key, &payload_reply_nonce(seq), &[], &plain);
+            let transport = session
+                .session_key
+                .seal(&payload_reply_nonce(seq), &[], &plain);
             ctx.enclave
                 .copy_across_boundary(transport.len(), meter, ctx.cost);
             finish_reply(
@@ -177,7 +177,9 @@ fn finish_reply(
     );
     ctx.enclave
         .copy_across_boundary(control_bytes.len(), meter, ctx.cost);
-    let sealed = gcm::seal(&session.session_key, &reply_nonce(seq), &[], &control_bytes);
+    let sealed = session
+        .session_key
+        .seal(&reply_nonce(seq), &[], &control_bytes);
     ReplyFrame {
         status,
         opcode,

@@ -7,6 +7,7 @@
 //! holding per-client trusted state.
 
 use precursor_crypto::chain::MacChain;
+use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::Key128;
 use precursor_rdma::adversary::{AdversaryInjector, AdversaryPlan, AttackClass, MountedAttack};
 use precursor_rdma::faults::{FaultInjector, FaultPlan, InjectedFault};
@@ -25,7 +26,8 @@ use super::{lock_faults, ClientBundle, PrecursorServer};
 // retransmission of it can be re-acknowledged without re-execution).
 #[derive(Debug)]
 pub(super) struct Session {
-    pub(super) session_key: Key128,
+    /// `K_session`, expanded once per attestation.
+    pub(super) session_key: GcmKey,
     pub(super) expected_oid: u64,
     pub(super) reply_seq: u64,
     pub(super) active: bool,
@@ -128,7 +130,7 @@ impl PrecursorServer {
             &chain_context(client_id, epoch),
         );
         self.sessions.list.push(Session {
-            session_key,
+            session_key: GcmKey::new(&session_key),
             expected_oid: 1,
             reply_seq: 1,
             active: true,
@@ -199,7 +201,7 @@ impl PrecursorServer {
             &chain_context(client_id, epoch),
         );
         let session = Session {
-            session_key,
+            session_key: GcmKey::new(&session_key),
             expected_oid: resumed.0,
             reply_seq: 1,
             active: true,

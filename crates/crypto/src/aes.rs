@@ -5,9 +5,15 @@
 //! than transcribed, which removes an entire class of table-typo bugs; the
 //! FIPS 197 appendix vectors in the tests pin the result.
 //!
-//! The implementation is table-light and byte-oriented: clear, allocation
-//! free, and fast enough for the simulation workloads (the *simulated* cost
-//! of AES comes from the cost model, not from this code's wall-clock speed).
+//! Encryption is the classic 32-bit T-table construction: the key schedule
+//! is 44 big-endian words, and each of the nine full rounds is sixteen
+//! lookups into four 1 KiB tables that fuse SubBytes, ShiftRows and
+//! MixColumns. The tables are derived at compile time from the same
+//! algebraic S-box. Decryption stays byte-oriented (no hot path uses it).
+//!
+//! The table lookups are indexed by key-dependent bytes, so they leak
+//! through the cache like every other primitive here: constant-time crypto
+//! is a non-goal of the reproduction (see the crate-level security note).
 
 use crate::keys::Key128;
 
@@ -80,6 +86,36 @@ pub const INV_SBOX: [u8; 256] = build_inv_sbox(&SBOX);
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
+// T-table for row 0: `(2·S[a], S[a], S[a], 3·S[a])` as a big-endian word,
+// the MixColumns column a substituted row-0 byte contributes. Rows 1–3 use
+// the same column rotated right by 8, 16 and 24 bits.
+const fn build_te(rot: u32) -> [u32; 256] {
+    let mut t = [0u32; 256];
+    let mut i = 0usize;
+    while i < 256 {
+        let s = SBOX[i];
+        let w = (xtime(s) as u32) << 24 | (s as u32) << 16 | (s as u32) << 8 | gf_mul(s, 3) as u32;
+        t[i] = w.rotate_right(rot);
+        i += 1;
+    }
+    t
+}
+
+const TE0: [u32; 256] = build_te(0);
+const TE1: [u32; 256] = build_te(8);
+const TE2: [u32; 256] = build_te(16);
+const TE3: [u32; 256] = build_te(24);
+
+fn sub_word(w: u32) -> u32 {
+    let [a, b, c, d] = w.to_be_bytes();
+    u32::from_be_bytes([
+        SBOX[a as usize],
+        SBOX[b as usize],
+        SBOX[c as usize],
+        SBOX[d as usize],
+    ])
+}
+
 /// An expanded AES-128 key ready to encrypt or decrypt 16-byte blocks.
 ///
 /// # Example
@@ -95,7 +131,8 @@ const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    // FIPS 197 §5.2 key schedule `w[0..44]`; round `r` uses `w[4r..4r + 4]`.
+    round_keys: [u32; 44],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -106,77 +143,103 @@ impl std::fmt::Debug for Aes128 {
 }
 
 impl Aes128 {
-    /// Expands `key` into the 11 round keys (FIPS 197 §5.2).
+    /// Expands `key` into the 44-word key schedule (FIPS 197 §5.2).
     pub fn new(key: &Key128) -> Aes128 {
         let kb = key.as_bytes();
-        let mut w = [[0u8; 4]; 44];
+        let mut w = [0u32; 44];
         for (i, word) in w.iter_mut().take(4).enumerate() {
-            word.copy_from_slice(&kb[i * 4..i * 4 + 4]);
+            *word = u32::from_be_bytes([kb[4 * i], kb[4 * i + 1], kb[4 * i + 2], kb[4 * i + 3]]);
         }
-        for i in 4..44 {
-            let mut temp = w[i - 1];
-            if i % 4 == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
-                temp[0] ^= RCON[i / 4 - 1];
-            }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
+        for (r, &rcon) in RCON.iter().enumerate() {
+            let i = 4 * (r + 1);
+            w[i] = w[i - 4] ^ sub_word(w[i - 1].rotate_left(8)) ^ ((rcon as u32) << 24);
+            w[i + 1] = w[i - 3] ^ w[i];
+            w[i + 2] = w[i - 2] ^ w[i + 1];
+            w[i + 3] = w[i - 1] ^ w[i + 2];
         }
-        let mut round_keys = [[0u8; 16]; 11];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
-            }
-        }
-        Aes128 { round_keys }
+        Aes128 { round_keys: w }
     }
 
     /// Encrypts one 16-byte block.
     pub fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
-        let mut s = block;
-        add_round_key(&mut s, &self.round_keys[0]);
+        let rk = &self.round_keys;
+        let col = |c: usize| {
+            u32::from_be_bytes([
+                block[4 * c],
+                block[4 * c + 1],
+                block[4 * c + 2],
+                block[4 * c + 3],
+            ]) ^ rk[c]
+        };
+        let mut s = [col(0), col(1), col(2), col(3)];
         for round in 1..10 {
-            sub_bytes(&mut s);
-            shift_rows(&mut s);
-            mix_columns(&mut s);
-            add_round_key(&mut s, &self.round_keys[round]);
+            let k = &rk[4 * round..4 * round + 4];
+            s = [
+                TE0[(s[0] >> 24) as usize]
+                    ^ TE1[(s[1] >> 16) as u8 as usize]
+                    ^ TE2[(s[2] >> 8) as u8 as usize]
+                    ^ TE3[s[3] as u8 as usize]
+                    ^ k[0],
+                TE0[(s[1] >> 24) as usize]
+                    ^ TE1[(s[2] >> 16) as u8 as usize]
+                    ^ TE2[(s[3] >> 8) as u8 as usize]
+                    ^ TE3[s[0] as u8 as usize]
+                    ^ k[1],
+                TE0[(s[2] >> 24) as usize]
+                    ^ TE1[(s[3] >> 16) as u8 as usize]
+                    ^ TE2[(s[0] >> 8) as u8 as usize]
+                    ^ TE3[s[1] as u8 as usize]
+                    ^ k[2],
+                TE0[(s[3] >> 24) as usize]
+                    ^ TE1[(s[0] >> 16) as u8 as usize]
+                    ^ TE2[(s[1] >> 8) as u8 as usize]
+                    ^ TE3[s[2] as u8 as usize]
+                    ^ k[3],
+            ];
         }
-        sub_bytes(&mut s);
-        shift_rows(&mut s);
-        add_round_key(&mut s, &self.round_keys[10]);
-        s
+        // Final round: SubBytes + ShiftRows only.
+        let mut out = [0u8; 16];
+        for c in 0..4 {
+            let w = u32::from_be_bytes([
+                SBOX[(s[c] >> 24) as usize],
+                SBOX[(s[(c + 1) % 4] >> 16) as u8 as usize],
+                SBOX[(s[(c + 2) % 4] >> 8) as u8 as usize],
+                SBOX[s[(c + 3) % 4] as u8 as usize],
+            ]) ^ rk[40 + c];
+            out[4 * c..4 * c + 4].copy_from_slice(&w.to_be_bytes());
+        }
+        out
     }
 
     /// Decrypts one 16-byte block.
     pub fn decrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
         let mut s = block;
-        add_round_key(&mut s, &self.round_keys[10]);
+        add_round_key(&mut s, &self.round_key_bytes(10));
         for round in (1..10).rev() {
             inv_shift_rows(&mut s);
             inv_sub_bytes(&mut s);
-            add_round_key(&mut s, &self.round_keys[round]);
+            add_round_key(&mut s, &self.round_key_bytes(round));
             inv_mix_columns(&mut s);
         }
         inv_shift_rows(&mut s);
         inv_sub_bytes(&mut s);
-        add_round_key(&mut s, &self.round_keys[0]);
+        add_round_key(&mut s, &self.round_key_bytes(0));
         s
+    }
+
+    // The 16 bytes of round key `round` in state order.
+    fn round_key_bytes(&self, round: usize) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        for c in 0..4 {
+            out[4 * c..4 * c + 4].copy_from_slice(&self.round_keys[4 * round + c].to_be_bytes());
+        }
+        out
     }
 }
 
 fn add_round_key(s: &mut [u8; 16], rk: &[u8; 16]) {
     for i in 0..16 {
         s[i] ^= rk[i];
-    }
-}
-
-fn sub_bytes(s: &mut [u8; 16]) {
-    for b in s.iter_mut() {
-        *b = SBOX[*b as usize];
     }
 }
 
@@ -187,31 +250,12 @@ fn inv_sub_bytes(s: &mut [u8; 16]) {
 }
 
 // State layout: s[r + 4c] is row r, column c (FIPS 197 §3.4).
-fn shift_rows(s: &mut [u8; 16]) {
-    let orig = *s;
-    for r in 1..4 {
-        for c in 0..4 {
-            s[r + 4 * c] = orig[r + 4 * ((c + r) % 4)];
-        }
-    }
-}
-
 fn inv_shift_rows(s: &mut [u8; 16]) {
     let orig = *s;
     for r in 1..4 {
         for c in 0..4 {
             s[r + 4 * ((c + r) % 4)] = orig[r + 4 * c];
         }
-    }
-}
-
-fn mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = gf_mul(col[0], 2) ^ gf_mul(col[1], 3) ^ col[2] ^ col[3];
-        s[4 * c + 1] = col[0] ^ gf_mul(col[1], 2) ^ gf_mul(col[2], 3) ^ col[3];
-        s[4 * c + 2] = col[0] ^ col[1] ^ gf_mul(col[2], 2) ^ gf_mul(col[3], 3);
-        s[4 * c + 3] = gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ gf_mul(col[3], 2);
     }
 }
 

@@ -30,17 +30,31 @@
 //! assert_eq!(receiver.advance(b"reply two"), t2);
 //! ```
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::keys::{Key128, Tag};
 
 /// A rolling MAC chain: `tag_i = HMAC(key, state_{i-1} ‖ msg_i)[..16]`,
 /// `state_i = tag_i`. Both endpoints construct it from the shared key and a
 /// context string (which should bind the session identity and epoch), then
 /// advance it once per message in stream order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The chain keeps the key only in absorbed form — the SHA-256 states after
+/// HMAC's ipad and opad blocks — so an advance hashes just the state, the
+/// message and the inner digest.
+#[derive(Clone, PartialEq, Eq)]
 pub struct MacChain {
-    key: Key128,
+    key: HmacKey,
     state: [u8; 16],
+}
+
+impl std::fmt::Debug for MacChain {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The absorbed key is key material: never print it.
+        f.debug_struct("MacChain")
+            .field("key", &"<redacted>")
+            .field("state", &self.state)
+            .finish()
+    }
 }
 
 impl MacChain {
@@ -48,21 +62,16 @@ impl MacChain {
     /// `context` (bind the session id and epoch here so chains from
     /// different sessions or epochs never collide).
     pub fn new(key: &Key128, context: &[u8]) -> MacChain {
-        let seed = hmac_sha256(key.as_bytes(), context);
+        let key = HmacKey::new(key.as_bytes());
+        let seed = key.mac(&[context]);
         let mut state = [0u8; 16];
         state.copy_from_slice(&seed[..16]);
-        MacChain {
-            key: key.clone(),
-            state,
-        }
+        MacChain { key, state }
     }
 
     /// Absorbs the next message and returns its chained tag.
     pub fn advance(&mut self, msg: &[u8]) -> Tag {
-        let mut input = Vec::with_capacity(16 + msg.len());
-        input.extend_from_slice(&self.state);
-        input.extend_from_slice(msg);
-        let mac = hmac_sha256(self.key.as_bytes(), &input);
+        let mac = self.key.mac(&[&self.state, msg]);
         self.state.copy_from_slice(&mac[..16]);
         Tag::from_bytes(self.state)
     }

@@ -21,6 +21,65 @@ fn dbl(block: [u8; 16]) -> [u8; 16] {
     out
 }
 
+/// The precomputed state of one AES-128-CMAC key: the expanded AES key and
+/// the two subkeys `K1`, `K2`. A long-lived MAC key holds one; the free
+/// [`mac`] and [`verify`] build one per call for one-time keys.
+#[derive(Clone)]
+pub struct CmacKey {
+    cipher: Aes128,
+    k1: [u8; 16],
+    k2: [u8; 16],
+}
+
+impl std::fmt::Debug for CmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never leak key material through Debug.
+        f.write_str("CmacKey { <redacted> }")
+    }
+}
+
+impl CmacKey {
+    /// Expands `key` and derives its subkeys (RFC 4493 §2.3).
+    pub fn new(key: &Key128) -> CmacKey {
+        let cipher = Aes128::new(key);
+        let k1 = dbl(cipher.encrypt_block([0u8; 16]));
+        let k2 = dbl(k1);
+        CmacKey { cipher, k1, k2 }
+    }
+
+    /// Computes the CMAC of `msg`.
+    pub fn mac(&self, msg: &[u8]) -> Tag {
+        let n_blocks = msg.len().div_ceil(16).max(1);
+        let mut x = [0u8; 16];
+        for block in msg[..(n_blocks - 1) * 16].chunks_exact(16) {
+            for j in 0..16 {
+                x[j] ^= block[j];
+            }
+            x = self.cipher.encrypt_block(x);
+        }
+
+        // Last block: XOR with K1 when complete, pad + K2 otherwise.
+        let rest = &msg[(n_blocks - 1) * 16..];
+        let mut last = [0u8; 16];
+        last[..rest.len()].copy_from_slice(rest);
+        let subkey = if rest.len() == 16 {
+            &self.k1
+        } else {
+            last[rest.len()] = 0x80;
+            &self.k2
+        };
+        for j in 0..16 {
+            x[j] ^= last[j] ^ subkey[j];
+        }
+        Tag::from_bytes(self.cipher.encrypt_block(x))
+    }
+
+    /// Verifies a CMAC tag (no early exit in the comparison).
+    pub fn verify(&self, msg: &[u8], tag: &Tag) -> bool {
+        self.mac(msg).verify(tag)
+    }
+}
+
 /// Computes the AES-128-CMAC of `msg` under `key`.
 ///
 /// # Example
@@ -33,45 +92,12 @@ fn dbl(block: [u8; 16]) -> [u8; 16] {
 /// assert_eq!(t1, t2);
 /// ```
 pub fn mac(key: &Key128, msg: &[u8]) -> Tag {
-    let cipher = Aes128::new(key);
-    let k1 = dbl(cipher.encrypt_block([0u8; 16]));
-    let k2 = dbl(k1);
-
-    let n_blocks = msg.len().div_ceil(16).max(1);
-    let mut x = [0u8; 16];
-    for i in 0..n_blocks - 1 {
-        let mut block = [0u8; 16];
-        block.copy_from_slice(&msg[i * 16..i * 16 + 16]);
-        for j in 0..16 {
-            x[j] ^= block[j];
-        }
-        x = cipher.encrypt_block(x);
-    }
-
-    // Last block: XOR with K1 when complete, pad + K2 otherwise.
-    let rest = &msg[(n_blocks - 1) * 16..];
-    let mut last = [0u8; 16];
-    if rest.len() == 16 {
-        last.copy_from_slice(rest);
-        for j in 0..16 {
-            last[j] ^= k1[j];
-        }
-    } else {
-        last[..rest.len()].copy_from_slice(rest);
-        last[rest.len()] = 0x80;
-        for j in 0..16 {
-            last[j] ^= k2[j];
-        }
-    }
-    for j in 0..16 {
-        x[j] ^= last[j];
-    }
-    Tag::from_bytes(cipher.encrypt_block(x))
+    CmacKey::new(key).mac(msg)
 }
 
 /// Verifies a CMAC tag (no early exit in the comparison).
 pub fn verify(key: &Key128, msg: &[u8], tag: &Tag) -> bool {
-    mac(key, msg).verify(tag)
+    CmacKey::new(key).verify(msg, tag)
 }
 
 #[cfg(test)]

@@ -6,6 +6,46 @@
 
 use crate::sha256::{digest, Sha256, BLOCK_LEN, DIGEST_LEN};
 
+// HMAC-SHA-256 with the key absorbed: the SHA-256 chaining values after
+// the ipad and the opad block. Every MAC under the key resumes both instead
+// of hashing the two pad blocks again.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    pub(crate) fn new(key: &[u8]) -> HmacKey {
+        let mut k = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            k[..DIGEST_LEN].copy_from_slice(&digest(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let pad_state = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&k.map(|b| b ^ pad));
+            h.midstate()
+        };
+        HmacKey {
+            inner: pad_state(0x36),
+            outer: pad_state(0x5c),
+        }
+    }
+
+    // HMAC of the concatenation of `parts`.
+    pub(crate) fn mac(&self, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+        let mut inner = Sha256::resume(self.inner, BLOCK_LEN as u64);
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = Sha256::resume(self.outer, BLOCK_LEN as u64);
+        outer.update(&inner.finish());
+        outer.finish()
+    }
+}
+
 /// Computes HMAC-SHA-256 of `msg` under `key` (any key length).
 ///
 /// # Example
@@ -17,26 +57,7 @@ use crate::sha256::{digest, Sha256, BLOCK_LEN, DIGEST_LEN};
 /// assert_eq!(a, b);
 /// ```
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut k = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        k[..DIGEST_LEN].copy_from_slice(&digest(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(msg);
-    let inner_digest = inner.finish();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finish()
+    HmacKey::new(key).mac(&[msg])
 }
 
 /// Derives `2 × 16` bytes of key material from a shared secret and context

@@ -21,8 +21,17 @@
 //!
 //! These implementations are **not constant-time** and are intended for the
 //! simulation-based reproduction only — exactly as the paper itself excludes
-//! side channels from its threat model (§2.3). Do not reuse them to protect
-//! real data.
+//! side channels from its threat model (§2.3). AES and GHASH look up tables
+//! at key-dependent indices, which leaks through the cache. Do not reuse them
+//! to protect real data.
+//!
+//! # Key contexts
+//!
+//! Key setup is paid once per key, not once per message: a long-lived key is
+//! held as its expanded context — [`gcm::GcmKey`], [`cmac::CmacKey`], or a
+//! [`MacChain`] with the HMAC pads already absorbed. The free functions
+//! ([`gcm::seal`], [`cmac::mac`], …) expand the key per call, for one-time
+//! keys.
 //!
 //! # Example
 //!
@@ -34,6 +43,10 @@
 //! let sealed = gcm::seal(&key, &nonce, b"header", b"secret");
 //! let opened = gcm::open(&key, &nonce, b"header", &sealed).unwrap();
 //! assert_eq!(opened, b"secret");
+//!
+//! // The same seal through a context built once for the key.
+//! let ctx = gcm::GcmKey::new(&key);
+//! assert_eq!(ctx.seal(&nonce, b"header", b"secret"), sealed);
 //! ```
 
 #![forbid(unsafe_code)]

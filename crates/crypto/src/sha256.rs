@@ -88,22 +88,42 @@ impl Sha256 {
 
     /// Finalizes and returns the digest.
     pub fn finish(mut self) -> [u8; DIGEST_LEN] {
+        // Padding (FIPS 180-4 §5.1.1): 0x80, zeros, then the 64-bit bit
+        // length in the last eight bytes — one block, or two when fewer
+        // than nine bytes of the buffered one are left.
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // `update` adjusted total_len for the padding byte; restore below by
-        // using the saved value when writing the length field.
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        let mut block = [0u8; BLOCK_LEN];
+        block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        block[self.buf_len] = 0x80;
+        if self.buf_len >= BLOCK_LEN - 8 {
+            compress(&mut self.state, &block);
+            block = [0u8; BLOCK_LEN];
         }
-        self.total_len = 0; // avoid double counting; padding already buffered
-        let mut block = self.buf;
-        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
         compress(&mut self.state, &block);
         let mut out = [0u8; DIGEST_LEN];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
         }
         out
+    }
+
+    // The chaining value after whole blocks only (`buf` empty): with the
+    // absorbed length it is all a hasher needs to resume.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buf_len, 0, "midstate mid-block");
+        self.state
+    }
+
+    // Resumes a hasher that absorbed `total_len` bytes (a whole number of
+    // blocks) and reached chaining value `state`.
+    pub(crate) fn resume(state: [u32; 8], total_len: u64) -> Sha256 {
+        Sha256 {
+            state,
+            buf: [0; BLOCK_LEN],
+            buf_len: 0,
+            total_len,
+        }
     }
 }
 

@@ -3,8 +3,8 @@
 
 use std::collections::VecDeque;
 
-use precursor_crypto::gcm;
-use precursor_crypto::keys::{Key128, Nonce12};
+use precursor_crypto::gcm::GcmKey;
+use precursor_crypto::keys::Nonce12;
 use precursor_rdma::tcp::SimTcp;
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::CostModel;
@@ -31,7 +31,7 @@ pub struct ShieldCompleted {
 #[derive(Debug)]
 pub struct ShieldClient {
     client_id: u32,
-    session_key: Key128,
+    session_key: GcmKey,
     socket: SimTcp,
     cost: CostModel,
     oid: u64,
@@ -53,7 +53,7 @@ impl ShieldClient {
         } = server.add_client(nonce);
         ShieldClient {
             client_id,
-            session_key,
+            session_key: GcmKey::new(&session_key),
             socket,
             cost: server.cost().clone(),
             oid: 0,
@@ -90,7 +90,7 @@ impl ShieldClient {
         ivb[0] = 0x01;
         ivb[4..].copy_from_slice(&oid.to_be_bytes());
         let iv = Nonce12::from_bytes(ivb);
-        let sealed = gcm::seal(&self.session_key, &iv, &[], &plain);
+        let sealed = self.session_key.seal(&iv, &[], &plain);
         let framed = frame_sealed(&iv, &sealed);
         self.meter.counters_mut().tx_bytes += framed.len() as u64;
         self.socket.send(&framed);
@@ -134,7 +134,7 @@ impl ShieldClient {
             expected_iv[4..].copy_from_slice(&seq.to_be_bytes());
             let result = unframe_sealed(&msg)
                 .filter(|(iv, _)| iv.as_bytes() == &expected_iv)
-                .and_then(|(iv, sealed)| gcm::open(&self.session_key, &iv, &[], sealed).ok())
+                .and_then(|(iv, sealed)| self.session_key.open(&iv, &[], sealed).ok())
                 .and_then(|plain| decode_reply(&plain).map(|(s, v)| (s, v.to_vec())));
             let completed = match result {
                 Some((status, value)) => ShieldCompleted {

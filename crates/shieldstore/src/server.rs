@@ -8,8 +8,10 @@
 //! entry en/decryption, MAC and tree maintenance — happens inside the
 //! enclave (the server-encryption scheme).
 
+use precursor_crypto::cmac::CmacKey;
+use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::{Key128, Tag};
-use precursor_crypto::{cmac, gcm, sha256};
+use precursor_crypto::sha256;
 use precursor_obs::MetricsRegistry;
 use precursor_rdma::tcp::SimTcp;
 use precursor_sgx::attest::AttestationService;
@@ -99,7 +101,7 @@ struct StoredEntry {
 
 #[derive(Debug)]
 struct Session {
-    session_key: Key128,
+    session_key: GcmKey,
     socket: SimTcp, // server end
     expected_oid: u64,
     reply_seq: u64,
@@ -122,8 +124,9 @@ pub struct ShieldServer {
 
     buckets: Vec<Vec<StoredEntry>>,
     tree: MerkleTree,
-    storage_key: Key128,
-    mac_key: Key128,
+    // Storage and bucket-MAC keys, held expanded.
+    storage_key: GcmKey,
+    mac_key: CmacKey,
     storage_seq: u64,
     len: usize,
 
@@ -185,8 +188,8 @@ impl ShieldServer {
         ShieldServer {
             tree: MerkleTree::new(config.num_buckets),
             buckets: vec![Vec::new(); config.num_buckets],
-            storage_key: Key128::generate(&mut rng),
-            mac_key: Key128::generate(&mut rng),
+            storage_key: GcmKey::new(&Key128::generate(&mut rng)),
+            mac_key: CmacKey::new(&Key128::generate(&mut rng)),
             storage_seq: 0,
             len: 0,
             config,
@@ -247,7 +250,7 @@ impl ShieldServer {
             .expect("same-platform attestation succeeds");
         let (client_sock, server_sock) = SimTcp::pair();
         self.sessions.push(Session {
-            session_key: session_key.clone(),
+            session_key: GcmKey::new(&session_key),
             socket: server_sock,
             expected_oid: 1,
             reply_seq: 1,
@@ -302,9 +305,8 @@ impl ShieldServer {
             self.enclave.touch_all(self.conn_region, &mut meter, &cost);
         }
 
-        let session_key = self.sessions[idx].session_key.clone();
         let (op, status, value_len, reply_plain) = match unframe_sealed(&msg)
-            .and_then(|(iv, sealed)| gcm::open(&session_key, &iv, &[], sealed).ok())
+            .and_then(|(iv, sealed)| self.sessions[idx].session_key.open(&iv, &[], sealed).ok())
         {
             None => (ShieldOp::Get, ShieldStatus::Error, 0, Vec::new()),
             Some(plain) => match decode_request(&plain) {
@@ -378,7 +380,7 @@ impl ShieldServer {
         );
         self.enclave
             .copy_across_boundary(plain.len(), &mut meter, &self.cost);
-        let sealed = gcm::seal(&session.session_key, &iv, &[], &plain);
+        let sealed = session.session_key.seal(&iv, &[], &plain);
         let framed = frame_sealed(&iv, &sealed);
         meter.counters_mut().tcp_msgs += 1;
         meter.counters_mut().tx_bytes += framed.len() as u64;
@@ -432,14 +434,11 @@ impl ShieldServer {
         plain.extend_from_slice(key);
         plain.extend_from_slice(value);
         meter.charge(Stage::Enclave, cost.server_time(cost.aes_gcm(plain.len())));
-        let cipher = gcm::seal(
-            &self.storage_key,
-            &precursor_crypto::Nonce12::from_counter(seq),
-            &[],
-            &plain,
-        );
+        let cipher =
+            self.storage_key
+                .seal(&precursor_crypto::Nonce12::from_counter(seq), &[], &plain);
         meter.charge(Stage::Enclave, cost.server_time(cost.cmac(cipher.len())));
-        let mac = cmac::mac(&self.mac_key, &cipher);
+        let mac = self.mac_key.mac(&cipher);
         // Entry leaves the enclave into the untrusted chain.
         self.enclave
             .copy_across_boundary(cipher.len(), meter, &cost);
@@ -452,13 +451,14 @@ impl ShieldServer {
     }
 
     fn open_entry(&self, entry: &StoredEntry) -> Option<(Vec<u8>, Vec<u8>)> {
-        let plain = gcm::open(
-            &self.storage_key,
-            &precursor_crypto::Nonce12::from_counter(entry.seq),
-            &[],
-            &entry.cipher,
-        )
-        .ok()?;
+        let plain = self
+            .storage_key
+            .open(
+                &precursor_crypto::Nonce12::from_counter(entry.seq),
+                &[],
+                &entry.cipher,
+            )
+            .ok()?;
         if plain.len() < 2 {
             return None;
         }
@@ -482,7 +482,7 @@ impl ShieldServer {
             macs.extend_from_slice(e.mac.as_bytes());
         }
         meter.charge(Stage::Enclave, cost.server_time(cost.cmac(macs.len())));
-        let bucket_mac = cmac::mac(&self.mac_key, &macs);
+        let bucket_mac = self.mac_key.mac(&macs);
         meter.charge(Stage::Enclave, cost.server_time(cost.sha256(16)));
         let leaf = sha256::digest(bucket_mac.as_bytes());
         let hashes = self.tree.update(b, leaf);
@@ -514,7 +514,7 @@ impl ShieldServer {
             macs.extend_from_slice(e.mac.as_bytes());
         }
         meter.charge(Stage::Enclave, cost.server_time(cost.cmac(macs.len())));
-        let bucket_mac = cmac::mac(&self.mac_key, &macs);
+        let bucket_mac = self.mac_key.mac(&macs);
         let leaf = sha256::digest(bucket_mac.as_bytes());
         meter.charge(Stage::Enclave, cost.server_time(cost.sha256(16)));
         self.tree.leaf(b) == leaf
@@ -647,7 +647,7 @@ impl ShieldServer {
             if e.key_hint != hint {
                 continue;
             }
-            let mac_ok = cmac::verify(&self.mac_key, &e.cipher, &e.mac);
+            let mac_ok = self.mac_key.verify(&e.cipher, &e.mac);
             match self.open_entry(e) {
                 Some((k, _)) if k == key => return Some(mac_ok),
                 Some(_) => continue,

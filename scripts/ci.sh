@@ -15,6 +15,13 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test --workspace -q
 
+# The crypto property tests at 20x the default cases, in release: the
+# differential loops then check the T-table AES and the 4-bit GHASH
+# multiply against their byte-wise and bit-serial references on ~200k
+# random inputs each.
+echo "== crypto differential loops (release, PRECURSOR_FUZZ_CASES=1280) =="
+PRECURSOR_FUZZ_CASES=1280 cargo test --release -p precursor-crypto -q --test proptests
+
 # The equivalence contract: the determinism, fast-path and
 # linearizability suites again at shards=4 and with every fast-path knob
 # on (the CI test-matrix legs).
